@@ -12,6 +12,11 @@ ENVELOPE_BYTES = 12
 
 PHASES = ("train", "share", "aggregate", "evaluate")
 
+# A run fails when its final_accuracy is more than this share below the
+# accuracy BASELINE.json records for its workload and seed, so a change that
+# buys bytes with accuracy cannot pass (final_accuracy has no bound).
+ACCURACY_DROP = 0.10
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -78,7 +83,8 @@ END_TO_END = {
 
 # End-to-end metrics printed in every summary but not bounded:
 # final_accuracy is exact per seed but differs by 12-31% (quartile spread
-# over median) between seeds, wider than any bound the benchmark may set.
+# over median) between seeds, wider than any bound the benchmark may set;
+# the per-seed reference check (ACCURACY_DROP) guards it instead.
 # failure_rate is 0 on a correct tree; the result line carries it as the
 # attempted/failed pair.
 REPORTED = {
@@ -144,14 +150,18 @@ def check_result(result, workload):
 
 def sample_metrics(sample, workload):
     """End-to-end metrics of one correct run. `sample` holds the process
-    wall (wall_s), its peak RSS (rss_kib) and the parsed result JSON."""
+    wall (wall_s), its peak RSS (rss_kib), the time from process start to
+    the creation of its first result file (first_create_s) and the parsed
+    result JSON."""
     result = sample["result"]
     total = result["wall_seconds"]["total"]
     return {
         "round_wall_ms": 1000.0 * total / result["rounds_run"],
-        # Process start to exit minus the in-run wall: workload and topology
-        # generation, node construction, plus teardown and the result files.
-        "setup_s": sample["wall_s"] - total,
+        # Process start until the first result file is opened, minus the
+        # in-run wall: scenario parsing, workload and topology generation,
+        # node construction, and the teardown of the Experiment and its
+        # workload, which config::execute does before any result is written.
+        "setup_s": sample["first_create_s"] - total,
         "peak_rss_mib": sample["rss_kib"] / 1024.0,
         "final_accuracy": result["final_accuracy"],
         "bytes_per_node": result["traffic"]["bytes_sent"] / workload.nodes,
@@ -191,18 +201,30 @@ class Report:
         return self.failed / self.attempted if self.attempted else 0.0
 
 
-def evaluate_samples(samples, workload):
+def evaluate_samples(samples, workload, reference_accuracy=None):
     """Checks every run of one batch and splits the correct ones into the
-    cold first run and the timed rest. A run fails when it exits non-zero,
-    fails check_result, or disagrees with the batch's first correct run on
-    final_accuracy or bytes_sent (every run of a batch uses one seed)."""
+    cold first run and the timed rest. A run fails when it times out, exits
+    non-zero, fails check_result, falls more than ACCURACY_DROP below
+    `reference_accuracy` (the seed's accuracy in BASELINE.json, when known),
+    or disagrees with the batch's first correct run on final_accuracy or
+    bytes_sent (every run of a batch uses one seed)."""
     report = Report(attempted=len(samples))
     reference = None
     for i, sample in enumerate(samples):
-        if sample["exit_code"] != 0:
+        if sample["timed_out"]:
+            errors = [f"timed out after {sample['wall_s']:.0f} s"]
+        elif sample["exit_code"] != 0:
             errors = [f"exit code {sample['exit_code']}"]
         else:
             errors = check_result(sample["result"], workload)
+            if sample["first_create_s"] < 0:
+                errors.append("no result file created")
+        if not errors and reference_accuracy is not None:
+            accuracy = sample["result"]["final_accuracy"]
+            if accuracy < (1.0 - ACCURACY_DROP) * reference_accuracy:
+                errors = [f"final_accuracy {accuracy} more than "
+                          f"{ACCURACY_DROP:.0%} below the seed's reference "
+                          f"{reference_accuracy}"]
         if not errors:
             r = sample["result"]
             key = (r["final_accuracy"], r["traffic"]["bytes_sent"])
@@ -221,6 +243,13 @@ def evaluate_samples(samples, workload):
         else:
             report.timed.append(metrics)
     return report
+
+
+def reference_accuracy(by_seed, seed):
+    """The reference final_accuracy of one workload at `seed`, from its
+    BASELINE.json table (seed string -> accuracy); for a seed the table does
+    not hold, the lowest accuracy it holds."""
+    return by_seed.get(str(seed), min(by_seed.values()))
 
 
 def spread(values):

@@ -3,7 +3,7 @@
 per-layer replay, for four workloads (perfbench/README.md).
 
   python3 perfbench/run.py --workload NAME|all [--seed N] [--seconds S]
-                           [--trace 0|1] [--repeats R]
+                           [--trace 0|1]
 
 Run from anywhere inside a source tree; the script builds the program from
 that tree into .bench_build/ first (perfbench/CMakeLists.txt).
@@ -18,15 +18,16 @@ give median and quartiles. The last stdout line is the JSON result:
 the result JSON emits, then layer_replay for per-call layer timings, then
 replay coverage per phase. The last line holds the per-layer metrics.
 
---workload all runs every workload, interleaved round-robin for --repeats
-rounds (no two runs of one workload back to back), and prints every
-workload's table.
+--workload all runs every workload, interleaved round-robin (no two runs of
+one workload back to back) until each has used its --seconds, and prints
+every workload's table.
 """
 
 import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -47,7 +48,7 @@ SPAWN_RSS = BUILD / "spawn_rss"
 
 MIN_RUNS = 4          # the cold run plus three timed runs
 LAUNCH_LIMIT_S = 140  # never start a run past this, whatever --seconds says
-PROCESS_TIMEOUT_S = 170
+DEADLINE_S = 165      # a run or replay still going by then is killed
 
 
 def log(text=""):
@@ -87,46 +88,66 @@ def build():
                 fail("build failed:\n" + "\n".join(tail))
 
 
-def run_once(workload, seed):
-    """One jwins_run process under spawn_rss. Returns exit code, process
-    wall, peak RSS and the parsed result JSON (None if absent)."""
+def scenario_name(workload):
+    """The scenario's `name`: jwins_run writes its results under it."""
+    text = (ROOT / workload.scenario).read_text()
+    match = re.search(r"^\s*name\s*=\s*(\S+)", text, re.MULTILINE)
+    if not match:
+        fail(f"{workload.scenario} has no name")
+    return match.group(1)
+
+
+def run_once(workload, seed, timeout_s):
+    """One jwins_run process under spawn_rss, which kills it after
+    `timeout_s`. Returns exit code, process wall, peak RSS, whether it timed
+    out, when its first result file was created, and the parsed result JSON
+    (None if absent)."""
     out = BUILD / "runs" / workload.name
     shutil.rmtree(out, ignore_errors=True)
-    out.mkdir(parents=True)
+    results = out / scenario_name(workload)
+    results.mkdir(parents=True)
     report = out / "spawn.json"
-    cmd = [str(SPAWN_RSS), str(report), str(JWINS_RUN),
-           str(ROOT / workload.scenario),
+    cmd = [str(SPAWN_RSS), str(report), f"{timeout_s:.1f}", str(results),
+           str(JWINS_RUN), str(ROOT / workload.scenario),
            *bl.run_args(workload, seed, lanes()), f"--out={out}"]
     with open(out / "console.txt", "w") as console:
         done = subprocess.run(cmd, cwd=ROOT, stdout=console,
-                              stderr=subprocess.STDOUT,
-                              timeout=PROCESS_TIMEOUT_S)
+                              stderr=subprocess.STDOUT)
     if done.returncode != 0:
         fail(f"spawn_rss exited {done.returncode}; see {out / 'console.txt'}")
     spawn = json.loads(report.read_text())
     result = None
-    for path in sorted(out.glob("*/run000_*.json")):
+    for path in sorted(results.glob("run000_*.json")):
         try:
             result = json.loads(path.read_text())
         except ValueError:
             result = None
     return {"exit_code": spawn["exit_code"], "wall_s": spawn["wall_s"],
-            "rss_kib": spawn["maxrss_kib"], "result": result}
+            "rss_kib": spawn["maxrss_kib"],
+            "first_create_s": spawn["first_create_s"],
+            "timed_out": spawn["timed_out"], "result": result}
 
 
-def run_batch(workload, seed, seconds, min_runs=MIN_RUNS):
-    """Runs until the next run would end past `seconds` (at least
-    `min_runs` runs, never starting one past LAUNCH_LIMIT_S)."""
-    samples = []
-    start = time.perf_counter()
-    while True:
-        samples.append(run_once(workload, seed))
-        elapsed = time.perf_counter() - start
-        next_run = statistics.median(s["wall_s"] for s in samples)
-        if elapsed + next_run > LAUNCH_LIMIT_S:
-            break
-        if len(samples) >= min_runs and elapsed + next_run > seconds:
-            break
+def run_batches(workloads, seeds, seconds, min_runs=MIN_RUNS):
+    """Runs the workloads round-robin, one run of each in turn, so no two
+    runs of one workload are back to back. A workload stops once it has
+    `min_runs` runs and its next run would end past `seconds` of its own
+    time; it never starts a run past LAUNCH_LIMIT_S of it, and a run still
+    going at DEADLINE_S is killed and fails. Returns name -> samples."""
+    samples = {w.name: [] for w in workloads}
+    used = {w.name: 0.0 for w in workloads}
+    active = list(workloads)
+    while active:
+        for w in list(active):
+            start = time.perf_counter()
+            samples[w.name].append(
+                run_once(w, seeds[w.name], DEADLINE_S - used[w.name]))
+            used[w.name] += time.perf_counter() - start
+            next_run = statistics.median(s["wall_s"] for s in samples[w.name])
+            if (used[w.name] + next_run > LAUNCH_LIMIT_S
+                    or (len(samples[w.name]) >= min_runs
+                        and used[w.name] + next_run > seconds)):
+                active.remove(w)
     return samples
 
 
@@ -136,7 +157,7 @@ def fmt(value):
     return f"{value:.6g}"
 
 
-def print_end_to_end(workload, seed, report):
+def print_end_to_end(workload, seed, report, reference):
     log(f"== {workload.name}  seed={seed}  threads={lanes()}  "
         f"runs={report.attempted}  failed={report.failed}")
     for index, reason in report.failures:
@@ -154,6 +175,8 @@ def print_end_to_end(workload, seed, report):
         f"{fmt(rate):>12}{report.attempted:>4}")
     log("   (median and quartiles over the timed runs; the cold run is the "
         "batch's first and is not in them)")
+    log(f"   final_accuracy reference {reference:.6g}: a run more than "
+        f"{bl.ACCURACY_DROP:.0%} below it fails")
 
 
 def end_to_end_metrics(report):
@@ -172,13 +195,16 @@ def record(name, payload):
 
 
 def sample_record(sample):
-    return {k: sample[k] for k in ("exit_code", "wall_s", "rss_kib")}
+    return {k: sample[k] for k in ("exit_code", "wall_s", "rss_kib",
+                                   "first_create_s", "timed_out")}
 
 
-def end_to_end(workload, seed, seconds):
-    samples = run_batch(workload, seed, seconds)
-    report = bl.evaluate_samples(samples, workload)
-    print_end_to_end(workload, seed, report)
+def summarize(workload, seed, samples):
+    """Checks one workload's batch, prints its table and records it.
+    Returns the report and the end-to-end metrics."""
+    reference = reference_accuracy(workload, seed)
+    report = bl.evaluate_samples(samples, workload, reference)
+    print_end_to_end(workload, seed, report, reference)
     metrics = end_to_end_metrics(report)
     record(f"{workload.name}-seed{seed}-e2e", {
         "workload": workload.name, "seed": seed, "threads": lanes(),
@@ -188,12 +214,21 @@ def end_to_end(workload, seed, seconds):
     return report, metrics
 
 
-def run_replay(workload, seed, budget_s):
+def reference_accuracy(workload, seed):
+    baseline = json.loads((HERE / "BASELINE.json").read_text())
+    return bl.reference_accuracy(
+        baseline["final_accuracy_by_seed"][workload.name], seed)
+
+
+def run_replay(workload, seed, budget_s, timeout_s):
     cmd = [str(REPLAY), str(ROOT / workload.scenario),
            *bl.run_args(workload, seed, lanes()),
            "--budget-s", f"{budget_s:.2f}"]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                          timeout=PROCESS_TIMEOUT_S)
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                              timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        fail(f"layer_replay still running after {timeout_s:.0f} s; killed")
     if done.returncode != 0:
         fail(f"layer_replay exited {done.returncode}: {done.stderr.strip()}")
     return json.loads(done.stdout)
@@ -201,8 +236,10 @@ def run_replay(workload, seed, budget_s):
 
 def traced(workload, seed, seconds):
     start = time.perf_counter()
-    samples = run_batch(workload, seed, 0.4 * seconds, min_runs=2)
-    report = bl.evaluate_samples(samples, workload)
+    samples = run_batches([workload], {workload.name: seed}, 0.4 * seconds,
+                          min_runs=2)[workload.name]
+    report = bl.evaluate_samples(samples, workload,
+                                 reference_accuracy(workload, seed))
     failed = {i for i, _ in report.failures}
     good = [s for i, s in enumerate(samples) if i not in failed]
     warm = good[1:] or good
@@ -210,8 +247,9 @@ def traced(workload, seed, seconds):
         return report, None
     per_run = [bl.phase_metrics(s["result"]) for s in warm]
     metrics = {k: statistics.median(m[k] for m in per_run) for k in per_run[0]}
-    budget = max(1.0, 0.8 * (seconds - (time.perf_counter() - start)))
-    replay = run_replay(workload, seed, budget)
+    elapsed = time.perf_counter() - start
+    budget = max(1.0, 0.8 * (seconds - elapsed))
+    replay = run_replay(workload, seed, budget, DEADLINE_S - elapsed)
     metrics.update(bl.replay_metrics(replay))
     cover = [bl.coverage(replay, s["result"], lanes(), workload)
              for s in warm]
@@ -242,39 +280,6 @@ def traced(workload, seed, seconds):
                     for n, (u, _) in bl.PER_LAYER.items()}
 
 
-def run_all(args):
-    """Every workload, interleaved: repetition k runs each workload once
-    before repetition k + 1 starts."""
-    names = list(bl.WORKLOADS)
-    seeds = {n: args.seed if args.seed is not None
-             else bl.WORKLOADS[n].preset_seed for n in names}
-    metrics, attempted, failed = {}, 0, 0
-    if args.trace:
-        for n in names:
-            report, layer = traced(bl.WORKLOADS[n], seeds[n], args.seconds)
-            attempted, failed = attempted + report.attempted, \
-                failed + report.failed
-            for k, v in (layer or {}).items():
-                metrics[f"{n}.{k}"] = v
-        return attempted, failed, metrics
-    samples = {n: [] for n in names}
-    for _ in range(args.repeats):
-        for n in names:
-            samples[n].append(run_once(bl.WORKLOADS[n], seeds[n]))
-    for n in names:
-        report = bl.evaluate_samples(samples[n], bl.WORKLOADS[n])
-        print_end_to_end(bl.WORKLOADS[n], seeds[n], report)
-        attempted, failed = attempted + report.attempted, failed + report.failed
-        for k, v in end_to_end_metrics(report).items():
-            metrics[f"{n}.{k}"] = v
-        record(f"{n}-seed{seeds[n]}-all", {
-            "workload": n, "seed": seeds[n], "threads": lanes(),
-            "runs": [sample_record(s) for s in samples[n]],
-            "failures": report.failures, "cold": report.cold,
-            "timed": report.timed})
-    return attempted, failed, metrics
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True,
@@ -282,30 +287,33 @@ def main():
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed (default: the preset's seed)")
     parser.add_argument("--seconds", type=float, default=25.0,
-                        help="measuring time of one workload's batch")
+                        help="measuring time of each workload's batch")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="--workload all: interleaved repetitions")
     args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats: at least 2 (the first run is the cold run)")
     build()
 
-    if args.workload == "all":
-        attempted, failed, metrics = run_all(args)
-    else:
-        workload = bl.WORKLOADS[args.workload]
-        seed = args.seed if args.seed is not None else workload.preset_seed
+    names = list(bl.WORKLOADS) if args.workload == "all" else [args.workload]
+    workloads = [bl.WORKLOADS[n] for n in names]
+    seeds = {w.name: args.seed if args.seed is not None else w.preset_seed
+             for w in workloads}
+    if not args.trace:
+        batches = run_batches(workloads, seeds, args.seconds)
+    metrics, attempted, failed = {}, 0, 0
+    for w in workloads:
         if args.trace:
-            report, metrics = traced(workload, seed, args.seconds)
+            report, layer = traced(w, seeds[w.name], args.seconds)
         else:
-            report, metrics = end_to_end(workload, seed, args.seconds)
-        attempted, failed = report.attempted, report.failed
+            report, layer = summarize(w, seeds[w.name], batches[w.name])
+        attempted, failed = attempted + report.attempted, \
+            failed + report.failed
+        prefix = f"{w.name}." if args.workload == "all" else ""
+        for k, v in (layer or {}).items():
+            metrics[prefix + k] = v
     complete = bool(metrics) and all(
         "value" in v and math.isfinite(v["value"]) for v in metrics.values())
     print(json.dumps({"correct": failed == 0 and complete,
                       "attempted": attempted, "failed": failed,
-                      "metrics": metrics or {}}), flush=True)
+                      "metrics": metrics}), flush=True)
     return 0 if complete else 1
 
 

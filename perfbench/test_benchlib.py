@@ -23,8 +23,10 @@ def fixture(name):
     return json.loads((HERE / "fixtures" / f"{name}.json").read_text())
 
 
-def sample(result, exit_code=0, wall_s=0.5, rss_kib=12 * 1024):
+def sample(result, exit_code=0, wall_s=0.5, rss_kib=12 * 1024,
+           first_create_s=0.45, timed_out=False):
     return {"exit_code": exit_code, "wall_s": wall_s, "rss_kib": rss_kib,
+            "first_create_s": first_create_s, "timed_out": timed_out,
             "result": result}
 
 
@@ -107,7 +109,10 @@ class Metrics(unittest.TestCase):
     def test_end_to_end_normalisation(self):
         result = fixture("sync_ok")
         total = result["wall_seconds"]["total"]
-        m = bl.sample_metrics(sample(result, wall_s=total + 0.01,
+        # setup_s ends where the result files start: the 5 ms between the
+        # first file's creation and the process exit are not in it.
+        m = bl.sample_metrics(sample(result, wall_s=total + 0.015,
+                                     first_create_s=total + 0.01,
                                      rss_kib=12800), MOVIELENS)
         self.assertAlmostEqual(m["round_wall_ms"], 1000 * total / 60)
         self.assertAlmostEqual(m["setup_s"], 0.01)
@@ -185,6 +190,35 @@ class FailureCounting(unittest.TestCase):
         self.assertIsNotNone(report.cold)
         self.assertEqual(len(report.timed), 2)
 
+    def test_timeout_and_missing_result_file_fail(self):
+        ok = fixture("sync_ok")
+        report = bl.evaluate_samples(
+            [sample(ok), sample(None, exit_code=137, wall_s=165.0,
+                                timed_out=True),
+             sample(ok, first_create_s=-1.0), sample(ok)], MOVIELENS)
+        self.assertEqual([i for i, _ in report.failures], [1, 2])
+        self.assertIn("timed out after 165 s", report.failures[0][1])
+        self.assertIn("no result file", report.failures[1][1])
+        self.assertEqual(len(report.timed), 1)
+
+    def test_accuracy_below_reference_fails(self):
+        ok = fixture("sync_ok")
+        accuracy = ok["final_accuracy"]
+        # Within ACCURACY_DROP of the reference: correct.
+        report = bl.evaluate_samples([sample(ok)] * 2, MOVIELENS,
+                                     accuracy / (1 - bl.ACCURACY_DROP / 2))
+        self.assertEqual(report.failed, 0)
+        # Further below: every run fails, so the batch is not correct.
+        report = bl.evaluate_samples([sample(ok)] * 2, MOVIELENS,
+                                     accuracy / (1 - 2 * bl.ACCURACY_DROP))
+        self.assertEqual(report.failed, 2)
+        self.assertIn("below the seed's reference", report.failures[0][1])
+
+    def test_reference_accuracy_falls_back_to_lowest(self):
+        by_seed = {"0": 0.4, "1": 0.35, "42": 0.5}
+        self.assertEqual(bl.reference_accuracy(by_seed, 42), 0.5)
+        self.assertEqual(bl.reference_accuracy(by_seed, 1000), 0.35)
+
     def test_ledger_failure_counts(self):
         samples = [sample(fixture("async_ok")),
                    sample(fixture("async_broken_ledger"))]
@@ -224,6 +258,14 @@ class BenchmarkJson(unittest.TestCase):
                           for m in spec["end_to_end"]}, bl.END_TO_END)
         self.assertEqual({m["name"]: (m["unit"], m["better"])
                           for m in spec["per_layer"]}, bl.PER_LAYER)
+
+    def test_baseline_has_accuracy_references(self):
+        baseline = json.loads((HERE / "BASELINE.json").read_text())
+        table = baseline["final_accuracy_by_seed"]
+        self.assertEqual(set(table), set(bl.WORKLOADS))
+        for name, workload in bl.WORKLOADS.items():
+            self.assertIn(str(workload.preset_seed), table[name])
+            self.assertTrue(all(0.0 < a <= 1.0 for a in table[name].values()))
 
 
 if __name__ == "__main__":
